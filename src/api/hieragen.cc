@@ -153,6 +153,14 @@ VerifySession::VerifySession(verif::System sys, verif::CheckOptions opts)
     : sys_(std::move(sys)), opts_(std::move(opts))
 {}
 
+verif::CheckOptions
+verifyOptionsFor(ConcurrencyMode mode)
+{
+    verif::CheckOptions o;
+    o.atomicTransactions = mode == ConcurrencyMode::Atomic;
+    return o;
+}
+
 VerifySession
 VerifySession::flat(const Protocol &p, int num_caches,
                     verif::CheckOptions opts)

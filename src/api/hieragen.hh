@@ -228,6 +228,15 @@ struct JobStatus
 // Verification
 
 /**
+ * Checker options for verifying a protocol generated in @p mode: the
+ * Step-1 atomic protocol is only correct with serialized
+ * transactions, so Atomic turns CheckOptions::atomicTransactions on.
+ * Everything else keeps its default. The CLI and the service daemon
+ * both start from these options.
+ */
+verif::CheckOptions verifyOptionsFor(ConcurrencyMode mode);
+
+/**
  * One verification run as an object.
  *
  *   auto s = VerifySession::hier(p, 2, 2, opts);

@@ -428,7 +428,8 @@ Daemon::runJob(const JobPtr &job)
 
     // 2. Verification. The bundle's protocol is self-contained and
     //    kept alive by our shared_ptr for the session's lifetime.
-    verif::CheckOptions copts;
+    verif::CheckOptions copts =
+        api::verifyOptionsFor(bundle->protocol.mode);
     copts.numThreads = job->spec.threads ? job->spec.threads : 1;
     if (job->spec.maxStates)
         copts.maxStates = job->spec.maxStates;

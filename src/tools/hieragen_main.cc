@@ -507,8 +507,8 @@ runReportVerb(int argc, char **argv)
            << "`\n";
     }
     if (const obs::JournalRecord *r = rp.last("engine_start")) {
-        md << "- engine: " << r->fieldString("engine") << ", workers "
-           << r->fieldU64("workers") << ", symmetry "
+        md << "- engine: workers " << r->fieldU64("workers")
+           << ", symmetry "
            << r->field("symmetry") << ", por " << r->field("por")
            << ", hash compaction " << r->field("hash_compaction")
            << "\n";
@@ -1001,7 +1001,7 @@ runGenerateVerb(int argc, char **argv)
 
         int exit_code = 0;
         if (args.verify) {
-            verif::CheckOptions vo;
+            verif::CheckOptions vo = api::verifyOptionsFor(p.mode);
             vo.accessBudget = 2;
             vo.numThreads = args.threads;
             vo.partialOrderReduction = !args.noPor;

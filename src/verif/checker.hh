@@ -107,9 +107,8 @@ struct CheckOptions
      * rank on its message type that rules out ignoring cycles), the
      * checker explores only that delivery from the state instead of
      * the full product of interleavings. The reduced successor
-     * relation is a pure function of the state, so both engines (and
-     * resumed runs, at any thread count) explore the identical
-     * reduced graph. Composes with symmetry reduction. Verdicts,
+     * relation is a pure function of the state, so every thread count
+     * (and every resumed run) explores the identical reduced graph. Composes with symmetry reduction. Verdicts,
      * deadlock detection, counterexample traces and the Section V-E
      * census are preserved (docs/VERIFIER.md, "Partial-order
      * reduction"); the off switch exists for parity testing and for
@@ -125,16 +124,17 @@ struct CheckOptions
 
     /**
      * Worker threads for state exploration. 0 = one per hardware
-     * thread; 1 = the original sequential algorithm, bit-for-bit.
-     * Any thread count returns the same verdict and, on clean runs,
-     * the same statesExplored / statesGenerated / transitionsFired
-     * (each unique state is expanded exactly once in either mode).
+     * thread; 1 = deterministic BFS with shortest traces. One engine
+     * runs every count: any thread count returns the same verdict
+     * and, on clean runs, the same statesExplored / statesGenerated
+     * / transitionsFired (each unique state is expanded exactly
+     * once).
      */
     unsigned numThreads = 0;
 
     /**
      * Observability sinks (non-owning; see obs/telemetry.hh). When
-     * set, both engines feed live counters a progress heartbeat can
+     * set, the engine feeds live counters a progress heartbeat can
      * sample, emit per-worker expansion spans to the trace writer,
      * and publish final totals (checker.states_explored == the
      * returned statesExplored, dedup hits, symmetry time share, ...)
@@ -147,7 +147,7 @@ struct CheckOptions
     obs::Telemetry *telemetry = nullptr;
 
     /**
-     * Periodic checkpointing: when non-empty, both engines snapshot
+     * Periodic checkpointing: when non-empty, the engine snapshots
      * the exploration (visited set, frontier queue, counters, census
      * marks) to this path every checkpointIntervalSec seconds and on
      * every resumable abort (state limit, interrupt, memory limit).
@@ -169,8 +169,9 @@ struct CheckOptions
     const CheckpointData *resume = nullptr;
 
     /**
-     * Cooperative interrupt: when non-null and set, the engines stop
-     * at the next consistent point, flush a final checkpoint (when a
+     * Cooperative interrupt: when non-null and set, the run stops at
+     * the next batch boundary (checked before the first expansion,
+     * never on a timer), flush a final checkpoint (when a
      * path is configured) and return errorKind "interrupted". The CLI
      * points this at its SIGINT/SIGTERM flag.
      */
@@ -178,7 +179,7 @@ struct CheckOptions
 
     /**
      * Cooperative cancellation (non-owning): polled next to
-     * stopRequested in both engines' control loops. Cancellation is
+     * stopRequested at every batch boundary. Cancellation is
      * the stronger verb — the run stops with ErrorKind::Cancelled,
      * writes no checkpoint and is not resumable, because the work is
      * no longer wanted (a cancelled service job, an abandoned
@@ -220,8 +221,8 @@ struct CheckOptions
     uint64_t expectedStates = 0;
 
     /**
-     * Sampled per-phase wall-time attribution (sequential engine
-     * only): time 1-in-8 expansions, splitting encode/canonicalize,
+     * Sampled per-phase wall-time attribution at any thread count
+     * (summed over workers): time 1-in-8 expansions, splitting encode/canonicalize,
      * visited-table insert, and the remaining expansion work, scaled
      * back to run totals in CheckResult::phases. Off by default; the
      * hot loop then pays only a predictable branch.
@@ -312,8 +313,8 @@ struct CheckResult
 
     /**
      * Sampled wall-time attribution (filled when
-     * CheckOptions::phaseTiming is set and the sequential engine
-     * ran). Semantics: `expandMs` covers whole state expansions
+     * CheckOptions::phaseTiming is set; with several workers the
+     * times are summed over them). Semantics: `expandMs` covers whole state expansions
      * including successor generation, encoding and dedup;
      * `encodeMs` covers the baseline bit-pack encode of each
      * successor (nonzero in every mode); `canonicalizeMs` covers the

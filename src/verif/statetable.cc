@@ -145,6 +145,13 @@ StateTable::grow(uint64_t minCapacity)
     }
     if (!oldFps.empty())
         ++rehashes_;
+    hint_.fps.store(reinterpret_cast<uintptr_t>(fps_.data()),
+                    std::memory_order_relaxed);
+    hint_.refs.store(mode_ == Mode::Exact
+                         ? reinterpret_cast<uintptr_t>(refs_.data())
+                         : 0,
+                     std::memory_order_relaxed);
+    hint_.shift.store(shift_, std::memory_order_relaxed);
 }
 
 void

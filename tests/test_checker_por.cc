@@ -10,7 +10,7 @@
  * reachability census must be identical with reduction on and off,
  * and the reduced canonical state count must never exceed the full
  * one. The reduced graph must be a pure function of the state, so
- * the sequential and parallel engines agree state-for-state with
+ * runs at 1 and 4 workers agree state-for-state with
  * reduction on (this suite is also a ThreadSanitizer target).
  */
 
@@ -64,8 +64,8 @@ TEST_P(FlatPorParity, SameVerdictNoMoreStates)
     EXPECT_LE(on.statesExplored, off.statesExplored) << GetParam();
     EXPECT_LE(on.statesGenerated, off.statesGenerated) << GetParam();
 
-    // The reduced graph is a pure function of the state, so the
-    // parallel engine agrees with the sequential one exactly.
+    // The reduced graph is a pure function of the state, so 4
+    // workers agree with 1 exactly.
     o.numThreads = kParThreads;
     auto par = verif::checkFlat(p, 3, o);
     EXPECT_EQ(on.ok, par.ok) << GetParam();

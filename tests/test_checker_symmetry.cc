@@ -9,9 +9,8 @@
  * identical with reduction on and off — for every builtin flat
  * protocol and hierarchical combo, for buggy protocols (the
  * counterexample must survive), and for the Section V-E census — and
- * canonical state counts must never exceed the unreduced counts. The
- * parallel engine must agree with the sequential one state-for-state
- * with reduction on (this suite is also a ThreadSanitizer target).
+ * canonical state counts must never exceed the unreduced counts. Runs
+ * at 1 and N workers must agree state-for-state with reduction on (this suite is also a ThreadSanitizer target).
  */
 
 #include <gtest/gtest.h>
@@ -202,8 +201,7 @@ TEST_P(FlatSymmetryParity, SameVerdictFewerStates)
     EXPECT_LT(on.statesExplored, off.statesExplored) << GetParam();
     EXPECT_LE(on.statesGenerated, off.statesGenerated) << GetParam();
 
-    // The parallel engine agrees with the sequential one state-for-
-    // state under reduction.
+    // N workers agree with 1 state-for-state under reduction.
     o.numThreads = kParThreads;
     auto par = verif::checkFlat(p, 3, o);
     EXPECT_EQ(on.ok, par.ok) << GetParam();

@@ -13,8 +13,8 @@
  *
  * Two configurations: flat MSI, 3 caches, atomic, budget 2 (897
  * states — milliseconds) for the determinism sweep, and 4 caches /
- * budget 3 (~12k states, hundreds of milliseconds) where the parallel
- * engine's 50 ms control poll must demonstrably fire mid-run.
+ * budget 3 (~12k states, hundreds of milliseconds) for the control
+ * tests, which run at 1, 2 and 4 workers.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +28,7 @@
 #include "api/hieragen.hh"
 #include "core/hiera.hh"
 #include "protocols/registry.hh"
+#include "util/cancel.hh"
 #include "verif/checker.hh"
 #include "verif/checkpoint.hh"
 
@@ -78,8 +79,8 @@ smallOpts()
     return o;
 }
 
-/** A run long enough (hundreds of ms) that the parallel engine's
- *  periodic control poll is guaranteed to fire mid-exploration. */
+/** The larger configuration (~12k states, hundreds of ms), used by
+ *  the control tests at every worker count. */
 verif::CheckOptions
 longOpts()
 {
@@ -404,53 +405,73 @@ TEST(Resume, CompactedRunRoundTrips)
 }
 
 // ---------------------------------------------------------------
-// Interrupt and memory watermark.
+// Interrupt, cancel and memory watermark, at 1, 2 and 4 workers:
+// every control is checked before the first expansion, so each
+// fires deterministically however fast the run would finish.
 
-TEST(Interrupt, PreSetFlagStopsWithArtifact)
+class Interrupt : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(Interrupt, PreSetFlagStopsWithArtifact)
 {
     std::atomic<bool> stop{true};
-    verif::CheckOptions o = smallOpts();
+    verif::CheckOptions o = longOpts();
+    o.numThreads = GetParam();
     o.stopRequested = &stop;
     o.checkpointPath = tmpPath("intr.ckpt");
     Protocol p = protocols::builtinProtocol("MSI");
-    auto r = verif::checkFlat(p, kCaches, o);
+    auto r = verif::checkFlat(p, kLongCaches, o);
     EXPECT_FALSE(r.ok);
     EXPECT_EQ(r.errorKind, hieragen::ErrorKind::Interrupted);
     EXPECT_TRUE(r.resumable);
     EXPECT_GE(r.checkpointsWritten, 1u);
 
     // The artifact left behind resumes to the clean verdict.
-    CleanRun clean(smallOpts());
+    CleanRun clean(longOpts(), kLongCaches);
     verif::CheckpointData data;
     ASSERT_TRUE(
         verif::CheckpointReader().read(tmpPath("intr.ckpt"), data).ok);
     Protocol resumed = protocols::builtinProtocol("MSI");
-    verif::CheckOptions ro = smallOpts();
+    verif::CheckOptions ro = longOpts();
+    ro.numThreads = GetParam();
     ro.resume = &data;
-    auto rr = verif::checkFlat(resumed, kCaches, ro);
+    auto rr = verif::checkFlat(resumed, kLongCaches, ro);
     EXPECT_TRUE(rr.ok) << rr.summary();
     EXPECT_EQ(rr.statesExplored, clean.r.statesExplored);
 }
 
-TEST(Interrupt, ParallelEngineStopsToo)
+TEST_P(Interrupt, PreSetCancelStopsWithoutArtifact)
 {
-    // The parallel engine polls controls every 50 ms, so use the
-    // longer configuration to guarantee the poll lands mid-run.
-    std::atomic<bool> stop{true};
+    util::CancelToken cancel;
+    cancel.cancel("job withdrawn");
     verif::CheckOptions o = longOpts();
-    o.numThreads = 4;
-    o.stopRequested = &stop;
+    o.numThreads = GetParam();
+    o.cancel = &cancel;
+    o.checkpointPath = tmpPath("cancel.ckpt");
     Protocol p = protocols::builtinProtocol("MSI");
     auto r = verif::checkFlat(p, kLongCaches, o);
     EXPECT_FALSE(r.ok);
-    EXPECT_EQ(r.errorKind, hieragen::ErrorKind::Interrupted);
-    EXPECT_TRUE(r.resumable);
+    EXPECT_EQ(r.errorKind, hieragen::ErrorKind::Cancelled);
+    EXPECT_EQ(r.detail, "job withdrawn");
+    EXPECT_FALSE(r.resumable);
+    EXPECT_EQ(r.checkpointsWritten, 0u);
+    EXPECT_EQ(r.statesExplored, 0u);
 }
 
-TEST(MemoryLimit, StopResumableLeavesArtifact)
+INSTANTIATE_TEST_SUITE_P(Threads, Interrupt,
+                         ::testing::Values(1u, 2u, 4u),
+                         ::testing::PrintToStringParamName());
+
+class MemoryLimit : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(MemoryLimit, StopResumableLeavesArtifact)
 {
     verif::CheckOptions o = smallOpts();
-    o.maxResidentBytes = 1;  // trip at the first watermark poll
+    o.numThreads = GetParam();
+    o.maxResidentBytes = 1;  // trip at the first watermark check
     o.checkpointPath = tmpPath("mem.ckpt");
     Protocol p = protocols::builtinProtocol("MSI");
     auto r = verif::checkFlat(p, kCaches, o);
@@ -474,18 +495,19 @@ TEST(MemoryLimit, StopResumableLeavesArtifact)
     EXPECT_EQ(censusOf(resumed).cacheTrans, clean.census.cacheTrans);
 }
 
-TEST(MemoryLimit, DegradeToCompactionFinishes)
+TEST_P(MemoryLimit, DegradeToCompactionFinishes)
 {
-    verif::CheckOptions compacted = smallOpts();
+    verif::CheckOptions compacted = longOpts();
     compacted.hashCompaction = true;
-    CleanRun reference(compacted);
+    CleanRun reference(compacted, kLongCaches);
     ASSERT_TRUE(reference.r.ok);
 
-    verif::CheckOptions o = smallOpts();
+    verif::CheckOptions o = longOpts();
+    o.numThreads = GetParam();
     o.maxResidentBytes = 1;
     o.memoryLimitPolicy = verif::MemoryLimitPolicy::DegradeToCompaction;
     Protocol p = protocols::builtinProtocol("MSI");
-    auto r = verif::checkFlat(p, kCaches, o);
+    auto r = verif::checkFlat(p, kLongCaches, o);
     EXPECT_TRUE(r.ok) << r.summary();
     EXPECT_TRUE(r.degradedToCompaction);
     EXPECT_TRUE(r.hashCompaction);
@@ -494,23 +516,9 @@ TEST(MemoryLimit, DegradeToCompactionFinishes)
     EXPECT_EQ(r.statesExplored, reference.r.statesExplored);
 }
 
-TEST(MemoryLimit, ParallelDegradeFinishes)
-{
-    verif::CheckOptions compacted = longOpts();
-    compacted.hashCompaction = true;
-    CleanRun reference(compacted, kLongCaches);
-    ASSERT_TRUE(reference.r.ok);
-
-    verif::CheckOptions o = longOpts();
-    o.numThreads = 4;
-    o.maxResidentBytes = 1;
-    o.memoryLimitPolicy = verif::MemoryLimitPolicy::DegradeToCompaction;
-    Protocol p = protocols::builtinProtocol("MSI");
-    auto r = verif::checkFlat(p, kLongCaches, o);
-    EXPECT_TRUE(r.ok) << r.summary();
-    EXPECT_TRUE(r.degradedToCompaction);
-    EXPECT_EQ(r.statesExplored, reference.r.statesExplored);
-}
+INSTANTIATE_TEST_SUITE_P(Threads, MemoryLimit,
+                         ::testing::Values(1u, 2u, 4u),
+                         ::testing::PrintToStringParamName());
 
 // ---------------------------------------------------------------
 // The api::VerifySession facade.

@@ -2,7 +2,7 @@
  * @file
  * Checkpoint/resume parity on the flagship configuration: MSI/MSI
  * non-stalling, 2 cache-H + 2 cache-L, symmetry reduction on. A run
- * killed halfway and resumed on the parallel engine must reproduce
+ * killed halfway and resumed on 2 workers must reproduce
  * the uninterrupted verdict, canonical state count and Section V-E
  * census. This is the paper's headline verification target
  * (~2M canonical states), so the sweep lives in the slow tier; the

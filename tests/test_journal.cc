@@ -38,8 +38,7 @@ tmpPath(const std::string &name)
 }
 
 /** Flat MSI, 4 caches, budget 3: ~12k states — enough expansions
- *  that the sequential engine's 1-in-256 control poll fires many
- *  times, so a pre-set stop flag interrupts mid-run. */
+ *  for many batch boundaries, where a stop flag is checked. */
 verif::CheckOptions
 bigOpts()
 {

@@ -3,7 +3,8 @@
  * Unit and integration tests for the telemetry library (src/obs):
  * sharded-counter aggregation under threads, histogram percentiles,
  * trace-event JSON validity, progress math, and checker integration
- * (metrics totals must equal the CheckResult counts in both engines).
+ * (metrics totals must equal the CheckResult counts at 1 and N
+ * workers).
  */
 
 #include <gtest/gtest.h>

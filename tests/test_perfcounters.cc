@@ -92,18 +92,27 @@ TEST(PerfCounterSet, ReadsAreMonotonicWhenAvailable)
 
 // --- Checker integration --------------------------------------------
 
-TEST(PhaseProfile, PerfFieldsMatchAvailability)
+class PhaseProfileAt : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(PhaseProfileAt, PerfFieldsMatchAvailability)
 {
     Protocol p = protocols::builtinProtocol("MSI");
     verif::CheckOptions o;
     o.atomicTransactions = true;
     o.accessBudget = 3;
-    o.numThreads = 1;  // phase attribution is sequential-only
+    o.numThreads = GetParam();  // phases run at every thread count
     o.phaseTiming = true;
     auto r = verif::checkFlat(p, 4, o);
     ASSERT_TRUE(r.ok) << r.summary();
     ASSERT_TRUE(r.phases.enabled);
     EXPECT_GT(r.phases.sampledExpansions, 0u);
+    // Flat MSI with 4 caches has a symmetry class, so every bucket
+    // of the wall-clock attribution fills.
+    EXPECT_GT(r.phases.encodeMs, 0.0);
+    EXPECT_GT(r.phases.canonicalizeMs, 0.0);
+    EXPECT_GT(r.phases.insertMs, 0.0);
 
     if (r.phases.perfEnabled) {
         EXPECT_GT(r.phases.expandPerf.cycles, 0u);
@@ -118,6 +127,9 @@ TEST(PhaseProfile, PerfFieldsMatchAvailability)
         EXPECT_EQ(r.phases.insertPerf.cycles, 0u);
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(Threads, PhaseProfileAt, ::testing::Values(1u, 2u),
+                         ::testing::PrintToStringParamName());
 
 TEST(PhaseProfile, PerfCountersOffWithoutPhaseTiming)
 {

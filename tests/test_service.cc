@@ -381,26 +381,33 @@ TEST(Daemon, SubmitRunsToDoneWithResult)
 
     svc::Client c;
     ASSERT_TRUE(c.connect(so.socketPath));
-    api::JobHandle id;
-    ASSERT_TRUE(c.submit(smallSpec(), id)) << c.error().str();
-    EXPECT_TRUE(id.valid());
+    // The Step-1 atomic protocol verifies only with serialized
+    // transactions; the daemon must derive that from the job's mode.
+    api::JobSpec atomicSpec = smallSpec();
+    atomicSpec.mode = ConcurrencyMode::Atomic;
+    for (const api::JobSpec &spec : {smallSpec(), atomicSpec}) {
+        SCOPED_TRACE(toString(spec.mode));
+        api::JobHandle id;
+        ASSERT_TRUE(c.submit(spec, id)) << c.error().str();
+        EXPECT_TRUE(id.valid());
 
-    api::JobStatus st;
-    std::string resultJson;
-    unsigned heartbeats = 0;
-    ASSERT_TRUE(c.result(id, /*follow=*/true, st, resultJson,
-                         [&](const api::JobStatus &) {
-                             ++heartbeats;
-                         }))
-        << c.error().str();
-    EXPECT_EQ(st.state, api::JobState::Done);
-    EXPECT_TRUE(st.verifyOk);
-    EXPECT_GT(st.statesExplored, 0u);
-    ASSERT_FALSE(resultJson.empty());
-    svc::JsonValue r;
-    ASSERT_TRUE(svc::parseJson(resultJson, r));
-    EXPECT_TRUE(r.boolean("ok"));
-    EXPECT_EQ(r.uint("states_explored"), st.statesExplored);
+        api::JobStatus st;
+        std::string resultJson;
+        unsigned heartbeats = 0;
+        ASSERT_TRUE(c.result(id, /*follow=*/true, st, resultJson,
+                             [&](const api::JobStatus &) {
+                                 ++heartbeats;
+                             }))
+            << c.error().str();
+        EXPECT_EQ(st.state, api::JobState::Done);
+        EXPECT_TRUE(st.verifyOk);
+        EXPECT_GT(st.statesExplored, 0u);
+        ASSERT_FALSE(resultJson.empty());
+        svc::JsonValue r;
+        ASSERT_TRUE(svc::parseJson(resultJson, r));
+        EXPECT_TRUE(r.boolean("ok"));
+        EXPECT_EQ(r.uint("states_explored"), st.statesExplored);
+    }
 
     d.stop();
 }

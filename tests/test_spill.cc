@@ -50,10 +50,9 @@ tmpPath(const std::string &name)
            name;
 }
 
-/** Flat MSI, 4 caches, budget 3: ~12k states, hundreds of ms — long
- *  enough that the parallel engine's 50 ms control poll (and with it
- *  the watermark) is guaranteed to fire mid-run, and large enough
- *  that the visited arena crosses the 64 KiB segment threshold. */
+/** Flat MSI, 4 caches, budget 3: ~12k states, hundreds of ms —
+ *  large enough that the visited arena crosses the 64 KiB segment
+ *  threshold many times. */
 verif::CheckOptions
 bigOpts()
 {
@@ -169,19 +168,26 @@ INSTANTIATE_TEST_SUITE_P(All, SpillParity,
 
 // ---------------------------------------------------------------
 // The spill path demonstrably runs (segments written, disk probed)
-// and stays exact. MSI at this size crosses the 64 KiB hot-tier
-// threshold many times over.
+// and stays exact, at 1, 2 and 4 workers. MSI at this size crosses
+// the hot-tier threshold many times over. The TSan job re-runs this
+// with workers inserting while a rendezvous leader spills and the
+// sampler reads telemetry.
 
-TEST(SpillMechanics, SequentialWritesAndProbesSegments)
+class SpillMechanics : public ::testing::TestWithParam<unsigned>
 {
-    std::string dir = tmpPath("seq-mech");
+};
+
+TEST_P(SpillMechanics, WritesAndProbesSegments)
+{
+    std::string dir = tmpPath("mech-" + std::to_string(GetParam()));
     Protocol clean = protocols::builtinProtocol("MSI");
     auto ref = verif::checkFlat(clean, kBigCaches, bigOpts());
     ASSERT_TRUE(ref.ok) << ref.summary();
 
+    verif::CheckOptions o = spillOpts(bigOpts(), dir);
+    o.numThreads = GetParam();
     Protocol p = protocols::builtinProtocol("MSI");
-    auto r =
-        verif::checkFlat(p, kBigCaches, spillOpts(bigOpts(), dir));
+    auto r = verif::checkFlat(p, kBigCaches, o);
     EXPECT_TRUE(r.ok) << r.summary();
     EXPECT_TRUE(r.spilledToDisk);
     EXPECT_GE(r.spillSegmentsWritten, 1u);
@@ -194,31 +200,15 @@ TEST(SpillMechanics, SequentialWritesAndProbesSegments)
     EXPECT_GT(r.peakRssBytes, 0u);
 
     EXPECT_EQ(ref.statesExplored, r.statesExplored);
-    expectSameCensus(clean, p, "seq mechanics");
+    expectSameCensus(clean, p, "mechanics");
 
     // A clean finish owes the filesystem nothing.
     EXPECT_TRUE(segmentFilesIn(dir).empty());
 }
 
-TEST(SpillMechanics, ParallelWritesSegmentsTSan)
-{
-    // The TSan job re-runs this: 4 workers inserting while the
-    // coordinator spills at rendezvous and samples telemetry.
-    std::string dir = tmpPath("par-mech");
-    Protocol clean = protocols::builtinProtocol("MSI");
-    auto ref = verif::checkFlat(clean, kBigCaches, bigOpts());
-
-    verif::CheckOptions o = spillOpts(bigOpts(), dir);
-    o.numThreads = kParThreads;
-    Protocol p = protocols::builtinProtocol("MSI");
-    auto r = verif::checkFlat(p, kBigCaches, o);
-    EXPECT_TRUE(r.ok) << r.summary();
-    EXPECT_TRUE(r.spilledToDisk);
-    EXPECT_GE(r.spillSegmentsWritten, 1u);
-    EXPECT_EQ(ref.statesExplored, r.statesExplored);
-    expectSameCensus(clean, p, "par mechanics");
-    EXPECT_TRUE(segmentFilesIn(dir).empty());
-}
+INSTANTIATE_TEST_SUITE_P(Threads, SpillMechanics,
+                         ::testing::Values(1u, 2u, 4u),
+                         ::testing::PrintToStringParamName());
 
 // ---------------------------------------------------------------
 // Checkpoint v3: a kill during active spilling leaves a checkpoint
@@ -233,10 +223,9 @@ class SpillResume : public ::testing::TestWithParam<
 
 TEST_P(SpillResume, KillDuringSpillResumesToCleanVerdict)
 {
-    // The parallel engine only polls the watermark every 50 ms, so
-    // the 4-thread kill leg runs the 5-cache configuration — large
-    // enough that several polls (and spills) land before the state
-    // cap at 75% does.
+    // The 4-thread kill leg runs the 5-cache configuration: 64
+    // visited shards need a larger space before several spills land
+    // ahead of the state cap at 75%.
     auto [killThreads, resumeThreads, caches] = GetParam();
     std::string tag = std::to_string(killThreads) + "-" +
                       std::to_string(resumeThreads);

@@ -278,7 +278,7 @@ TEST(StateTableCheckpoint, OldFormatVersionRefusedWithReason)
 
 // ---------------------------------------------------------------
 // Sharded tables under 4 workers (TSan hunts races in the sanitizer
-// build; the assertions pin parity with the sequential engine).
+// build; the assertions pin parity with a 1-worker run).
 
 TEST(StateTableParallel, FourWorkersMatchSequential)
 {
